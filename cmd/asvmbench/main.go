@@ -19,7 +19,6 @@
 //	asvmbench -explore               # schedule-exploration smoke (asvmcheck)
 //	asvmbench -workers 1             # serial cells (for profiling a cell)
 //	asvmbench -json BENCH.json       # machine-readable perf snapshot only
-//	asvmbench -engine parallel       # lane-parallel engine (same results)
 //	asvmbench -cpuprofile cpu.pb.gz  # pprof the run (see EXPERIMENTS.md)
 package main
 
@@ -33,7 +32,6 @@ import (
 
 	"asvm/internal/exp"
 	"asvm/internal/explore"
-	"asvm/internal/machine"
 	"asvm/internal/workload"
 	"asvm/internal/xport"
 )
@@ -51,8 +49,6 @@ func main() {
 		workers = flag.Int("workers", 0, "parallel experiment cells (0 = GOMAXPROCS, 1 = serial)")
 		jsonOut = flag.String("json", "", "write a machine-readable benchmark snapshot to this path and exit")
 		list    = flag.Bool("list", false, "list the valid -exp experiment names and exit")
-		engine  = flag.String("engine", "serial", "event engine: serial | parallel (per-node event lanes; identical results)")
-		lanes   = flag.Int("lanes", exp.SnapshotEngineLanes, "event lanes for -engine=parallel")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memProf = flag.String("memprofile", "", "write an allocation profile to this path at exit")
 		rto     = flag.Duration("rto", 0, "chaos/crash sweeps: initial retransmit timeout (0 = calibrated 4ms)")
@@ -67,17 +63,6 @@ func main() {
 		RTO:        *rto,
 		MaxRTO:     *rtoMax,
 		MaxRetries: *retries,
-	}
-
-	switch *engine {
-	case "serial":
-	case "parallel":
-		// Set once at startup, before any cluster is built: every
-		// DefaultParams in every experiment cell picks it up.
-		machine.DefaultEngineLanes = *lanes
-	default:
-		fmt.Fprintf(os.Stderr, "asvmbench: -engine must be serial or parallel, got %q\n", *engine)
-		os.Exit(2)
 	}
 
 	if *cpuProf != "" {

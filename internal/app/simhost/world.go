@@ -41,9 +41,8 @@ type Spec struct {
 // every object the node shares at the spec-order base addresses.
 //
 // Task and barrier creation mutate world state and are not synchronized:
-// SPMD workloads must create barriers and Prepare their nodes before Run
-// (under the lane-parallel engine, bodies execute concurrently). A
-// single-driver workload may instead let Host calls create tasks lazily
+// SPMD workloads must create barriers and Prepare their nodes before Run.
+// A single-driver workload may instead let Host calls create tasks lazily
 // mid-run — task creation and mapping schedule no events, so the executed
 // schedule is identical either way.
 type World struct {
@@ -159,9 +158,9 @@ func (w *World) NewBarrier() int {
 	return w.nextBar
 }
 
-// Go starts a driver thread on the engine's default lane, bound to the
-// given node (the Table 1 microbenchmarks drive the whole mesh from one
-// thread, hopping nodes with Host.On).
+// Go starts a thread bound to the given node: one per node for SPMD
+// workloads, or a single driver (the Table 1 microbenchmarks drive the
+// whole mesh from one thread, hopping nodes with Host.On).
 func (w *World) Go(node int, name string, body func(h app.Host) error) {
 	idx := len(w.errs)
 	w.errs = append(w.errs, nil)
@@ -172,15 +171,11 @@ func (w *World) Go(node int, name string, body func(h app.Host) error) {
 	})
 }
 
-// GoOn starts an SPMD thread with event-lane affinity for its node.
+// GoOn is Go.
+//
+// Deprecated: use Go. GoOn is kept because the perfbench module calls it.
 func (w *World) GoOn(node int, name string, body func(h app.Host) error) {
-	idx := len(w.errs)
-	w.errs = append(w.errs, nil)
-	w.C.SpawnOn(node, name, func(p *sim.Proc) {
-		if err := body(host{w: w, p: p, node: node}); err != nil {
-			w.errs[idx] = err
-		}
-	})
+	w.Go(node, name, body)
 }
 
 // Run drives the simulation to completion and returns the first error any

@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -133,5 +134,39 @@ func TestControlPlane(t *testing.T) {
 	case <-srvs[0].Shutdown:
 	case <-time.After(5 * time.Second):
 		t.Fatal("shutdown request did not trip the server's Shutdown gate")
+	}
+}
+
+// TestOpsRetainNoTimers pins the per-op timeout timer leak: each op arms
+// an opTimeout timer, and under the module's go 1.22 timer semantics one
+// that is never stopped stays on the heap until it fires. Retained heap
+// over many fast local ops must stay flat, not grow by a timer per op.
+func TestOpsRetainNoTimers(t *testing.T) {
+	nodes := pipeMesh(t, 2, 4)
+	if _, err := nodes[0].Write(8, 1); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	drainNodes(t, nodes, 10*time.Second)
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	const ops = 20000
+	before := heap()
+	for i := 0; i < ops; i++ {
+		if _, _, err := nodes[0].Read(8); err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+	}
+	after := heap()
+	var grew uint64
+	if after > before {
+		grew = after - before
+	}
+	t.Logf("retained heap grew %d B over %d ops (%.1f B/op)", grew, ops, float64(grew)/ops)
+	if perOp := float64(grew) / ops; perOp > 64 {
+		t.Fatalf("retained heap grew %.1f B/op over %d ops, want <= 64 (a leaked timer per op?)", perOp, ops)
 	}
 }

@@ -162,10 +162,15 @@ func (n *Node) do(name string, fn func(p *sim.Proc) error) (time.Duration, error
 			done <- fn(p)
 		})
 	})
+	// A stopped NewTimer, not time.After: under the module's go 1.22
+	// semantics an unfired time.After timer stays live until it fires, so
+	// every op would pin one for the full opTimeout.
+	t := time.NewTimer(opTimeout)
+	defer t.Stop()
 	select {
 	case err := <-done:
 		return time.Since(start), err
-	case <-time.After(opTimeout):
+	case <-t.C:
 		return time.Since(start), fmt.Errorf("dsm: %s timed out after %v", name, opTimeout)
 	}
 }

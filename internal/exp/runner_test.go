@@ -113,49 +113,6 @@ func TestSerialParallelByteIdentical(t *testing.T) {
 	}
 }
 
-// TestEngineParallelByteIdentical extends the determinism contract to
-// engine-level parallelism: with machine.DefaultEngineLanes raised, every
-// cluster runs on the parallel lane engine, and each experiment's rendered
-// output must still be byte-identical to the serial engine's. This is the
-// whole-repo version of sim's TestLaneMergeMatchesSerial: the executed
-// schedule, every counter and every Series must survive lane sharding.
-//
-// Deliberately not t.Parallel: it mutates the package-level default that
-// cluster construction reads.
-func TestEngineParallelByteIdentical(t *testing.T) {
-	experiments := []struct {
-		name string
-		run  func(w *bytes.Buffer) error
-	}{
-		{"table1", func(w *bytes.Buffer) error { return Table1(w, 1, 1) }},
-		{"table2", func(w *bytes.Buffer) error { return Table2(w, []int{1, 2, 4}, 1, 1) }},
-		{"fig11", func(w *bytes.Buffer) error { return Figure11(w, []int{1, 2}, 1, 1) }},
-		{"dist", func(w *bytes.Buffer) error { return Distribution(w, 4, 8, 2, 1, 1) }},
-		{"scale", func(w *bytes.Buffer) error { return Scale(w, 1, 1, true) }},
-		{"ablation-transport", func(w *bytes.Buffer) error { return AblationTransport(w, 1, 1) }},
-	}
-	old := machine.DefaultEngineLanes
-	defer func() { machine.DefaultEngineLanes = old }()
-	for _, e := range experiments {
-		var serial bytes.Buffer
-		machine.DefaultEngineLanes = 1
-		if err := e.run(&serial); err != nil {
-			t.Fatalf("%s serial: %v", e.name, err)
-		}
-		for _, lanes := range []int{2, 4, 7} {
-			var parallel bytes.Buffer
-			machine.DefaultEngineLanes = lanes
-			if err := e.run(&parallel); err != nil {
-				t.Fatalf("%s lanes=%d: %v", e.name, lanes, err)
-			}
-			if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
-				t.Fatalf("%s: lanes=%d output differs from serial:\n--- serial ---\n%s\n--- lanes=%d ---\n%s",
-					e.name, lanes, serial.String(), lanes, parallel.String())
-			}
-		}
-	}
-}
-
 // TestSnapshotQuick checks CollectSnapshot fills every section and that the
 // simulated metrics (not the wall-clock ones) are reproducible.
 func TestSnapshotQuick(t *testing.T) {

@@ -27,13 +27,9 @@ type Snapshot struct {
 	Quick      bool   `json:"quick"`
 
 	// Simulator speed: events executed per wall-clock second on a busy
-	// 16-node coherence workload (the cost of the reproduction itself),
-	// on the serial engine and on the parallel lane engine (identical
-	// schedule, EngineLanes event lanes).
-	EngineEventsPerSec         float64 `json:"engine_events_per_sec"`
-	EngineEvents               uint64  `json:"engine_events"`
-	EngineEventsPerSecParallel float64 `json:"engine_events_per_sec_parallel"`
-	EngineLanes                int     `json:"engine_lanes"`
+	// 16-node coherence workload (the cost of the reproduction itself).
+	EngineEventsPerSec float64 `json:"engine_events_per_sec"`
+	EngineEvents       uint64  `json:"engine_events"`
 
 	// Hot-path allocation guards, allocs per operation (contract: 0).
 	EngineAllocsPerOp  float64 `json:"engine_allocs_per_op"`
@@ -88,21 +84,6 @@ func EngineThroughput(seed uint64) (eventsPerSec float64, events uint64, err err
 	return float64(c.Eng.Executed) / wall, c.Eng.Executed, nil
 }
 
-// SnapshotEngineLanes is the lane count the snapshot's parallel engine
-// measurement uses (and the default asvmbench -engine=parallel lane count).
-const SnapshotEngineLanes = 4
-
-// EngineThroughputParallel is EngineThroughput on the parallel lane engine.
-// It temporarily overrides machine.DefaultEngineLanes, so it must not run
-// concurrently with cluster construction elsewhere (CollectSnapshot calls
-// it before any worker fan-out).
-func EngineThroughputParallel(seed uint64, lanes int) (eventsPerSec float64, events uint64, err error) {
-	old := machine.DefaultEngineLanes
-	machine.DefaultEngineLanes = lanes
-	defer func() { machine.DefaultEngineLanes = old }()
-	return EngineThroughput(seed)
-}
-
 // CollectSnapshot measures the snapshot artifact set. quick shrinks the
 // sweeps the same way asvmbench -quick does.
 func CollectSnapshot(seed uint64, workers int, quick bool) (*Snapshot, error) {
@@ -140,15 +121,6 @@ func CollectSnapshot(seed uint64, workers int, quick bool) (*Snapshot, error) {
 			return err
 		}
 		snap.EngineEventsPerSec, snap.EngineEvents = eps, n
-		peps, pn, err := EngineThroughputParallel(seed, SnapshotEngineLanes)
-		if err != nil {
-			return err
-		}
-		if pn != n {
-			return fmt.Errorf("snapshot: parallel engine executed %d events, serial %d — schedules diverged", pn, n)
-		}
-		snap.EngineEventsPerSecParallel = peps
-		snap.EngineLanes = SnapshotEngineLanes
 		snap.EngineAllocsPerOp = EngineAllocsPerOp()
 		snap.MsgPathAllocsPerOp = MsgPathAllocsPerOp()
 		return nil

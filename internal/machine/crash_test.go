@@ -29,7 +29,7 @@ func TestCrashPlanEmptyIsInert(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c.SpawnOn(n, "w", func(pr *sim.Proc) {
+			c.Spawn("w", func(pr *sim.Proc) {
 				for i := 0; i < 8; i++ {
 					idx := vm.PageIdx((n + i) % 4)
 					if err := task.WriteU64(pr, vm.Addr(idx)*vm.PageSize, uint64(n*100+i)); err != nil {

@@ -113,21 +113,7 @@ type Params struct {
 
 	// Seed drives all randomness in workloads.
 	Seed uint64
-
-	// EngineLanes, when above 1, runs the simulation on the deterministic
-	// parallel engine with that many event lanes (nodes are mapped onto
-	// lanes round-robin, lookahead comes from Mesh.LookaheadFloor). The
-	// executed schedule — and every simulated metric — is identical to the
-	// serial engine's; only wall-clock speed differs. 0/1 = serial.
-	EngineLanes int
 }
-
-// DefaultEngineLanes is the lane count DefaultParams starts from, so a
-// whole experiment sweep can be switched to the parallel engine in one
-// place (asvmbench -engine=parallel sets it at startup). It is read at
-// Params construction time only and is not safe to change concurrently
-// with cluster construction.
-var DefaultEngineLanes = 1
 
 // DefaultParams returns the calibrated configuration for n nodes.
 func DefaultParams(n int) Params {
@@ -149,7 +135,6 @@ func DefaultParams(n int) Params {
 		ASVM:               asvm.DefaultConfig(),
 		XMMCopyThreads:     64,
 		Seed:               1,
-		EngineLanes:        DefaultEngineLanes,
 	}
 }
 
@@ -219,7 +204,7 @@ func New(p Params) *Cluster {
 	if p.Crash.Active() {
 		p.Reliable = true // crash detection lives in the reliability layer
 	}
-	e := sim.NewParallelEngine(p.EngineLanes, p.Mesh.LookaheadFloor())
+	e := sim.NewEngine()
 	c := &Cluster{
 		P:           p,
 		Eng:         e,
@@ -477,13 +462,6 @@ func (c *Cluster) RemoteFork(parent *vm.Task, dstIdx int, name string) (*vm.Task
 // Spawn starts a proc.
 func (c *Cluster) Spawn(name string, fn func(p *sim.Proc)) *sim.Proc {
 	return c.Eng.Spawn(name, fn)
-}
-
-// SpawnOn starts a proc with event-lane affinity for the node it simulates
-// work on: its wakeups queue on that node's lane under the parallel engine.
-// Identical to Spawn on a serial engine.
-func (c *Cluster) SpawnOn(nodeIdx int, name string, fn func(p *sim.Proc)) *sim.Proc {
-	return c.Eng.SpawnOn(c.Eng.LaneFor(nodeIdx), name, fn)
 }
 
 // Run drives the simulation to completion and returns the final virtual

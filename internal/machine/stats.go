@@ -10,7 +10,7 @@ import (
 // statistics, protocol counters aggregated across nodes, transport and
 // interconnect traffic, message-processor utilization and disk activity.
 // This is the system/application-level monitoring interface the paper's
-// §6 alludes to; the per-counter semantics live next to their Inc sites.
+// §6 alludes to; the per-counter semantics live next to their increment sites.
 func (c *Cluster) StatsReport(w io.Writer) {
 	fmt.Fprintf(w, "=== cluster statistics (%v, %d nodes, t=%v) ===\n",
 		c.P.System, c.P.Nodes, c.Eng.Now())

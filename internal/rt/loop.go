@@ -40,13 +40,9 @@ type Loop struct {
 	stopOnce  sync.Once
 }
 
-// NewLoop wraps eng. The engine must be serial (the wall-clock loop has no
-// use for event lanes: real concurrency lives in the sockets, not the
-// dispatcher) and must not be driven by anyone else once the loop starts.
+// NewLoop wraps eng. The engine must not be driven by anyone else once the
+// loop starts.
 func NewLoop(eng *sim.Engine) *Loop {
-	if eng.Lanes() > 1 {
-		panic("rt: wall-clock loop requires a serial engine")
-	}
 	return &Loop{
 		eng:  eng,
 		wake: make(chan struct{}, 1),

@@ -32,28 +32,6 @@ func BenchmarkScheduleRun(b *testing.B) {
 	b.ReportMetric(float64(e.Executed)/b.Elapsed().Seconds(), "events/sec")
 }
 
-// BenchmarkScheduleRunParallel is BenchmarkScheduleRun on the lane-parallel
-// engine: four lanes, events spread round-robin, the same (time, seq) merge
-// order as serial. It prices the lane machinery — per-window drains plus the
-// merge scan — against the serial heap; worker goroutines only engage when
-// GOMAXPROCS allows, so on a single-core host this measures the coordinator
-// path alone.
-func BenchmarkScheduleRunParallel(b *testing.B) {
-	e := NewParallelEngine(4, 64*time.Microsecond)
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.ScheduleLane(i%4, time.Duration(i%64)*time.Microsecond, fn)
-		if e.Pending() >= 1024 {
-			e.Run()
-		}
-	}
-	e.Run()
-	b.StopTimer()
-	b.ReportMetric(float64(e.Executed)/b.Elapsed().Seconds(), "events/sec")
-}
-
 // BenchmarkScheduleRunDeep is BenchmarkScheduleRun with 64k cold events
 // parked far in the future, so every sift traverses a deep heap.
 func BenchmarkScheduleRunDeep(b *testing.B) {

@@ -105,3 +105,50 @@ func TestRunMaxBound(t *testing.T) {
 		t.Fatalf("executed %d events under a bound of 50", n)
 	}
 }
+
+// TestLeavingBatchKeepsOrder halts mid-cohort with same-instant events
+// parked in the dispatch batch, then resumes through each path that
+// flushes the batch back into the heap (SetChooser, RunMax): the rest of
+// the schedule must run in the same (time, seq) order as an uninterrupted
+// run.
+func TestLeavingBatchKeepsOrder(t *testing.T) {
+	run := func(resume func(e *Engine)) []int {
+		e := NewEngine()
+		var order []int
+		e.Schedule(time.Microsecond, func() {
+			order = append(order, 0)
+			for i := 1; i <= 4; i++ {
+				i := i
+				// Born during dispatch at the current instant: these
+				// ride the batch, not the heap.
+				e.Schedule(0, func() {
+					order = append(order, i)
+					if i == 2 {
+						e.Halt()
+					}
+				})
+			}
+		})
+		e.Schedule(2*time.Microsecond, func() { order = append(order, 5) })
+		e.Run()
+		if len(order) != 3 {
+			t.Fatalf("ran %v before Halt, want [0 1 2]", order)
+		}
+		resume(e)
+		return order
+	}
+	want := []int{0, 1, 2, 3, 4, 5}
+	for name, resume := range map[string]func(e *Engine){
+		"run":        func(e *Engine) { e.Run() },
+		"setchooser": func(e *Engine) { e.SetChooser(&fixedChooser{}); e.Run() },
+		"runmax": func(e *Engine) {
+			if !e.RunMax(100) {
+				t.Fatal("RunMax did not drain")
+			}
+		},
+	} {
+		if got := run(resume); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: order %v, want %v", name, got, want)
+		}
+	}
+}

@@ -20,9 +20,7 @@
 // future completions, zero-delay chains) is appended to a flat dispatch
 // batch instead of round-tripping through the heap — global sequence
 // numbers keep the FIFO contract, and each batched event saves a full
-// push+siftDown+pop. drainAt/drainBefore pop whole timestamp cohorts in
-// one pass for the batch-order tests and the parallel lanes. See lanes.go
-// for the deterministic parallel mode built on top of this.
+// push+siftDown+pop.
 package sim
 
 import (
@@ -131,28 +129,6 @@ func (q *eventQueue) siftDown(e event) {
 	q.ev[i] = e
 }
 
-// drainAt pops every event with the given timestamp into buf. The heap
-// yields them in (at, seq) order, so the cohort lands in buf already FIFO
-// by sequence number. The timestamp must be the root's.
-func (q *eventQueue) drainAt(t Time, buf []event) []event {
-	for {
-		buf = append(buf, q.pop())
-		if len(q.ev) == 0 || q.ev[0].at != t {
-			return buf
-		}
-	}
-}
-
-// drainBefore pops every event with time < bound into buf (used by the
-// parallel lanes to pre-pop a conservative window). Events come out in
-// (at, seq) order, so buf stays sorted.
-func (q *eventQueue) drainBefore(bound Time, buf []event) []event {
-	for len(q.ev) > 0 && q.ev[0].at < bound {
-		buf = append(buf, q.pop())
-	}
-	return buf
-}
-
 // shrinkCap is the backing-array capacity above which a drained queue
 // releases its memory when a run completes. Steady-state runs (and the
 // engine microbenchmarks, which cycle ~1k events) never cross it, so the
@@ -184,14 +160,10 @@ type Engine struct {
 	// heap; only the rest of a multi-event cohort transits the batch.
 	batch    []event
 	batchPos int
-	// dispatching is true while the serial run loop is executing events —
+	// dispatching is true while the batched run loop is executing events —
 	// the window in which a same-instant schedule may join the batch even
 	// when the batch is momentarily empty (singleton cohorts skip it).
 	dispatching bool
-
-	// par holds the parallel-lane state; nil on serial engines (see
-	// lanes.go).
-	par *parEngine
 
 	// chooser is the schedule-exploration hook (see choose.go); nil in
 	// every production run, and the hot loop pays one nil check for it.
@@ -212,13 +184,8 @@ func NewEngine() *Engine {
 func (e *Engine) Now() Time { return e.now }
 
 // enqueue routes one fully-formed event to its resting place: the live
-// dispatch batch for same-instant work, the parallel lane structures when
-// lanes are enabled, or the serial heap.
-func (e *Engine) enqueue(ev event, lane int) {
-	if e.par != nil && !e.par.retired {
-		e.par.enqueue(ev, lane)
-		return
-	}
+// dispatch batch for same-instant work, or the heap.
+func (e *Engine) enqueue(ev event) {
 	if ev.at == e.now && e.chooser == nil &&
 		(e.dispatching || e.batchPos < len(e.batch)) &&
 		(e.q.len() == 0 || e.q.ev[0].at != ev.at) {
@@ -252,7 +219,7 @@ func (e *Engine) ScheduleAt(at Time, fn func()) {
 		at = e.now
 	}
 	e.seq++
-	e.enqueue(event{at: at, seq: e.seq, fn: fn}, e.curLane())
+	e.enqueue(event{at: at, seq: e.seq, fn: fn})
 }
 
 // ScheduleRun arranges for r.Run to execute after delay, allocation-free.
@@ -272,7 +239,7 @@ func (e *Engine) ScheduleRunAt(at Time, r Runnable) {
 		at = e.now
 	}
 	e.seq++
-	e.enqueue(event{at: at, seq: e.seq, run: r}, e.curLane())
+	e.enqueue(event{at: at, seq: e.seq, run: r})
 }
 
 // scheduleProcAt enqueues a wakeup for p at absolute time at. This is the
@@ -284,7 +251,7 @@ func (e *Engine) scheduleProcAt(at Time, p *Proc) {
 		at = e.now
 	}
 	e.seq++
-	e.enqueue(event{at: at, seq: e.seq, proc: p}, int(p.lane))
+	e.enqueue(event{at: at, seq: e.seq, proc: p})
 }
 
 // wake enqueues a wakeup for p at the current instant, after events already
@@ -305,9 +272,6 @@ func (e *Engine) Run() Time {
 	t := e.RunUntil(maxTime)
 	if e.Pending() == 0 {
 		e.q.shrink()
-		if e.par != nil {
-			e.par.shrink()
-		}
 	}
 	return t
 }
@@ -317,9 +281,6 @@ func (e *Engine) Run() Time {
 // (the deadline if it was reached, otherwise the time of the last event).
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.halted = false
-	if e.par != nil && !e.par.retired {
-		return e.par.run(deadline)
-	}
 	if e.chooser != nil {
 		return e.runChoose(deadline)
 	}
@@ -402,13 +363,9 @@ func (e *Engine) flushBatch() {
 
 // NextEventAt reports the virtual time of the earliest queued event, or
 // false when no events are queued. Only meaningful between runs (it does
-// not look inside a dispatch batch mid-run) and only on a serial engine —
-// the wall-clock runtime loop uses it to decide how long to sleep before
-// the next timer is due.
+// not look inside a dispatch batch mid-run) — the wall-clock runtime loop
+// uses it to decide how long to sleep before the next timer is due.
 func (e *Engine) NextEventAt() (Time, bool) {
-	if e.par != nil && !e.par.retired {
-		panic("sim: NextEventAt on a parallel engine")
-	}
 	if e.batchPos < len(e.batch) {
 		return e.now, true
 	}
@@ -420,11 +377,7 @@ func (e *Engine) NextEventAt() (Time, bool) {
 
 // Pending reports the number of queued events.
 func (e *Engine) Pending() int {
-	n := e.q.len() + len(e.batch) - e.batchPos
-	if e.par != nil {
-		n += e.par.pending()
-	}
-	return n
+	return e.q.len() + len(e.batch) - e.batchPos
 }
 
 // LiveProcs reports the number of procs that have been spawned and have not

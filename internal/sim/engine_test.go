@@ -164,3 +164,99 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchedSameInstantFIFO is the property test for batched dispatch:
+// events that fan out same-instant work mid-dispatch, across several
+// cohorts, must still execute in global (time, seq) FIFO order — the batch
+// bypasses the heap, never the ordering contract.
+func TestBatchedSameInstantFIFO(t *testing.T) {
+	e := NewEngine()
+	var order []int
+	id := 0
+	add := func(delay Time, fanout int) {
+		myID := id
+		id++
+		e.Schedule(delay, func() {
+			order = append(order, myID)
+			for f := 0; f < fanout; f++ {
+				// Same-instant children: these must run after everything
+				// already scheduled for this instant.
+				child := id
+				id++
+				e.Schedule(0, func() { order = append(order, child) })
+			}
+		})
+	}
+	// Three cohorts at 0µs, 1µs, 2µs; each root fans out two same-instant
+	// children.
+	for c := 0; c < 3; c++ {
+		add(Time(c)*time.Microsecond, 2)
+		add(Time(c)*time.Microsecond, 0)
+	}
+	e.Run()
+	// Roots get ids 0..5 at schedule time (two per cohort); children get
+	// ids at execution time (6,7 then 8,9 then 10,11). Per cohort the two
+	// roots run in schedule order, then the first root's same-instant
+	// children run after both — FIFO across the batch/heap boundary.
+	want := []int{0, 1, 6, 7, 2, 3, 8, 9, 4, 5, 10, 11}
+	if len(order) != len(want) {
+		t.Fatalf("executed %d events, want %d", len(order), len(want))
+	}
+	for i := range order {
+		if order[i] != want[i] {
+			t.Fatalf("order %v, want %v", order, want)
+		}
+	}
+}
+
+// TestQueueShrinksAfterBurst pins the fix for the queue's backing array
+// never shrinking: after a 1M-event burst fully drains, Run releases the
+// backing memory, while steady-state queues below shrinkCap keep their
+// free-list array.
+func TestQueueShrinksAfterBurst(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	const burst = 1 << 20
+	for i := 0; i < burst; i++ {
+		e.Schedule(Time(i%1000)*time.Microsecond, fn)
+	}
+	if got := cap(e.q.ev); got < burst {
+		t.Fatalf("burst capacity %d, want >= %d", got, burst)
+	}
+	e.Run()
+	if got := cap(e.q.ev); got > shrinkCap {
+		t.Fatalf("post-run capacity %d, want <= shrinkCap (%d)", got, shrinkCap)
+	}
+	// Steady state below the threshold: capacity must be retained (the
+	// free-list trick), not churned.
+	for i := 0; i < 100; i++ {
+		e.Schedule(time.Microsecond, fn)
+	}
+	e.Run()
+	c := cap(e.q.ev)
+	for i := 0; i < 100; i++ {
+		e.Schedule(time.Microsecond, fn)
+	}
+	e.Run()
+	if cap(e.q.ev) != c {
+		t.Fatalf("steady-state capacity churned: %d -> %d", c, cap(e.q.ev))
+	}
+}
+
+// TestScheduleRunZeroAllocs guards the hot path at 0 allocs/op with no
+// chooser installed (the CI benchmark-regression leg runs this).
+func TestScheduleRunZeroAllocs(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	i := 0
+	allocs := testing.AllocsPerRun(20000, func() {
+		e.Schedule(Time(i%64)*time.Microsecond, fn)
+		i++
+		if e.Pending() >= 1024 {
+			e.RunUntil(e.Now() + time.Millisecond)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("schedule/run path allocates %.1f allocs/op, want 0", allocs)
+	}
+}

@@ -17,27 +17,17 @@ type Proc struct {
 	resume chan struct{}
 	yield  chan struct{}
 	dead   bool
-	lane   int32 // event lane for this proc's wakeups (0 on serial engines)
 }
 
 // Spawn creates a proc and schedules it to start immediately (at the current
 // virtual time, after already-queued events for this instant). fn runs to
-// completion in simulated time; when it returns the proc is dead. The proc's
-// wakeups inherit the lane of the event that spawned it.
+// completion in simulated time; when it returns the proc is dead.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	return e.SpawnOn(e.curLane(), name, fn)
-}
-
-// SpawnOn is Spawn with an explicit event lane: the proc's wakeups are
-// queued on that lane for the engine's parallel mode. On a serial engine the
-// lane is ignored.
-func (e *Engine) SpawnOn(lane int, name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
 		eng:    e,
 		name:   name,
 		resume: make(chan struct{}),
 		yield:  make(chan struct{}),
-		lane:   int32(e.clampLane(lane)),
 	}
 	e.nprocs++
 	go func() {

@@ -53,7 +53,7 @@ type ChaosResult struct {
 // zero value means the calibrated defaults (4ms initial RTO, 64ms cap,
 // 30 retries) — existing sweep output is bit-identical unless a run sets
 // it, e.g. via asvmbench -rto/-rtomax/-retries. Set once at startup,
-// before any cells run, like machine.DefaultEngineLanes.
+// before any cells run.
 var ReliableCfg xport.ReliableConfig
 
 // chaosParams builds cluster parameters with the chaos stack enabled:

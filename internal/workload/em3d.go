@@ -228,7 +228,7 @@ func runEM3DRegion(c *machine.Cluster, cfg EM3DConfig) (time.Duration, *machine.
 	for n := range all {
 		n := n
 		plan := plans[n]
-		w.GoOn(n, fmt.Sprintf("em3d%d", n), func(h app.Host) error {
+		w.Go(n, fmt.Sprintf("em3d%d", n), func(h app.Host) error {
 			touch := func(pages []vm.PageIdx, write bool) error {
 				for _, pg := range pages {
 					off := int64(pg) * vm.PageSize

@@ -73,7 +73,7 @@ func fileWriteOn(c *machine.Cluster, nNodes int) (float64, *machine.Region, erro
 	times := make([]time.Duration, nNodes)
 	for i, nIdx := range users {
 		i := i
-		w.GoOn(nIdx, "writer", func(h app.Host) error {
+		w.Go(nIdx, "writer", func(h app.Host) error {
 			t0 := h.Now()
 			base := i * perNode
 			for pg := 0; pg < perNode; pg++ {
@@ -133,7 +133,7 @@ func fileReadOn(c *machine.Cluster, nNodes int) (float64, *machine.Region, error
 	times := make([]time.Duration, nNodes)
 	for i, nIdx := range users {
 		i := i
-		w.GoOn(nIdx, "reader", func(h app.Host) error {
+		w.Go(nIdx, "reader", func(h app.Host) error {
 			t0 := h.Now()
 			// Stagger starting offsets so nodes don't convoy on the same
 			// page, like independent readers would.

@@ -105,7 +105,7 @@ func RunSOROn(c *machine.Cluster, cfg SORConfig) (time.Duration, error) {
 		if err := w.Prepare(n); err != nil {
 			return 0, err
 		}
-		w.GoOn(n, fmt.Sprintf("sor%d", n), func(h app.Host) error {
+		w.Go(n, fmt.Sprintf("sor%d", n), func(h app.Host) error {
 			touch := func(pages []vm.PageIdx, write bool) error {
 				for _, pg := range pages {
 					off := int64(pg) * vm.PageSize
