@@ -77,10 +77,13 @@ func (l *Loop) Stop() {
 	}
 }
 
-// Inject queues fn to run on the loop goroutine at the current virtual
-// instant, after events already due. It is safe from any goroutine and
-// never blocks; this is how socket readers deliver messages and control
-// servers start operations. Injections are executed in arrival order.
+// Inject queues fn to run on the loop goroutine. It is safe from any
+// goroutine and never blocks; this is how socket readers deliver messages
+// and control servers start operations. The loop first advances the
+// virtual clock to the wall instant and runs every event due by then;
+// only then does fn run, on that fresh clock, and every event it makes
+// due at that instant (a woken proc, a same-instant send) runs before
+// the next injection. Injections execute in arrival order.
 func (l *Loop) Inject(fn func()) {
 	l.mu.Lock()
 	l.inj = append(l.inj, fn)
@@ -125,29 +128,35 @@ func (l *Loop) Elapsed() time.Duration { return time.Since(l.start) }
 // stalling delivery.
 const maxIdleWait = 250 * time.Millisecond
 
+// run is the loop goroutine. Each wake advances the virtual clock to the
+// wall clock and runs everything due, then runs the queued injections one
+// at a time, each followed by the events it made due at that instant. The
+// order matters: a grant delivered in the same batch as a competing
+// request must resume the faulting proc before the request can take the
+// page away again, and timers an injection arms (RTOs, retry delays) must
+// be measured from the present, not from the previous wake.
 func (l *Loop) run(ctx context.Context) {
 	defer close(l.done)
 	timer := time.NewTimer(maxIdleWait)
 	defer timer.Stop()
+	var fns []func()
 	for {
-		// Everything injected so far runs first, in arrival order, at the
-		// current virtual instant (handlers typically Send or Spawn, which
-		// schedule further events).
-		l.mu.Lock()
-		fns := l.inj
-		l.inj = nil
-		l.mu.Unlock()
-		for _, fn := range fns {
-			fn()
-		}
-
-		// Advance the virtual clock to the wall clock and run everything
-		// due. The nil-fn anchor pins now == elapsed exactly even when the
-		// queue is empty, so relative timers armed by injected work are
-		// measured from the true wall instant.
+		// The nil-fn anchor pins now == elapsed exactly even when the
+		// queue is empty.
 		elapsed := time.Since(l.start)
 		l.eng.ScheduleAt(elapsed, nil)
 		l.eng.RunUntil(elapsed)
+
+		// Swap the injection queue with the drained spare, so steady
+		// state reuses two backing arrays instead of allocating per wake.
+		l.mu.Lock()
+		fns, l.inj = l.inj, fns[:0]
+		l.mu.Unlock()
+		for i, fn := range fns {
+			fns[i] = nil // the spare must pin no closure
+			fn()
+			l.eng.RunUntil(elapsed)
+		}
 
 		// Sleep until the next timer is due, an injection arrives, or the
 		// context ends.

@@ -104,3 +104,75 @@ func TestLoopStop(t *testing.T) {
 		t.Fatal("Call succeeded after Stop")
 	}
 }
+
+// An injection's same-instant consequences run before the next injection.
+// A completes the future a parked proc waits on; B, injected right after
+// A, must find the proc already resumed. This is the real-mesh fault
+// path: a grant that wakes the faulting thread must let it touch the page
+// before a competing request delivered in the same batch takes it away.
+func TestLoopInjectionRunsItsConsequencesFirst(t *testing.T) {
+	eng := sim.NewEngine()
+	l := NewLoop(eng)
+	l.Start(context.Background())
+	defer l.Stop()
+
+	fut := sim.NewFuture(eng)
+	var resumed bool
+	parked := make(chan struct{})
+	l.Inject(func() {
+		eng.Spawn("waiter", func(p *sim.Proc) {
+			close(parked)
+			fut.Wait(p)
+			resumed = true
+		})
+	})
+	<-parked
+
+	// Hold the loop inside an injection so A and B queue up behind it
+	// and are taken in one batch.
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	l.Inject(func() {
+		close(entered)
+		<-release
+	})
+	<-entered
+	sawResumed := make(chan bool, 1)
+	l.Inject(func() { fut.Set(nil) })          // A
+	l.Inject(func() { sawResumed <- resumed }) // B
+	close(release)
+
+	select {
+	case ok := <-sawResumed:
+		if !ok {
+			t.Fatal("injection B ran before the proc woken by injection A")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("injection B never ran")
+	}
+}
+
+// An injection runs on the present virtual clock: after the loop has sat
+// idle, the engine's "now" seen by injected work is at least the wall
+// time elapsed before the injection, so the relative timers it arms are
+// measured from the present and not from the previous wake.
+func TestLoopInjectionSeesFreshClock(t *testing.T) {
+	eng := sim.NewEngine()
+	l := NewLoop(eng)
+	l.Start(context.Background())
+	defer l.Stop()
+
+	l.Call(func() {})
+	time.Sleep(60 * time.Millisecond)
+	e := l.Elapsed()
+	now := make(chan sim.Time, 1)
+	l.Inject(func() { now <- eng.Now() })
+	select {
+	case got := <-now:
+		if got < e {
+			t.Fatalf("injected work saw virtual now %v, want >= %v (the wall time before injecting)", got, e)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("injection never ran")
+	}
+}

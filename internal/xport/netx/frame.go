@@ -16,11 +16,13 @@
 package netx
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 
 	"asvm/internal/mesh"
+	"asvm/internal/xport"
 )
 
 // wireVersion is the frame-format generation. The hello exchange rejects
@@ -51,42 +53,49 @@ const (
 // length prefix allocating gigabytes.
 const defaultMaxFrame = 1 << 20
 
+// frameHeadroom is the capacity a msg frame reserves beyond its accounted
+// payload: the length prefix, the routing header and a codec's fixed
+// fields fit in it, so a frame is normally built in one allocation.
+const frameHeadroom = 128
+
 // wireMsg is a parsed msg/bounce frame body.
 type wireMsg struct {
-	kind         byte
 	src, dst     mesh.NodeID
 	protoName    string
 	payloadBytes int
 	encoded      []byte
 }
 
-// appendFrame wraps body in a length prefix and appends to dst.
-func appendFrame(dst, body []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
-	return append(dst, body...)
-}
-
 // appendHello appends a complete hello frame.
 func appendHello(dst []byte, self mesh.NodeID) []byte {
-	var body [7]byte
-	body[0] = frameHello
-	binary.LittleEndian.PutUint16(body[1:3], wireVersion)
-	binary.LittleEndian.PutUint32(body[3:7], uint32(int32(self)))
-	return appendFrame(dst, body[:])
+	dst = binary.LittleEndian.AppendUint32(dst, 7)
+	dst = append(dst, frameHello)
+	dst = binary.LittleEndian.AppendUint16(dst, wireVersion)
+	return binary.LittleEndian.AppendUint32(dst, uint32(int32(self)))
 }
 
-// appendMsgBody appends a msg/bounce frame *body* (no length prefix) to
-// dst. The body is built once at Send time and reused verbatim if the
-// receiver bounces it.
-func appendMsgBody(dst []byte, kind byte, src, dstNode mesh.NodeID, protoName string, payloadBytes int, encoded []byte) []byte {
-	dst = append(dst, kind)
+// appendMsgFrame appends one complete msg frame to dst: length prefix,
+// routing header, then m encoded by codec straight into the frame. The
+// two length fields are patched in once the codec has appended, so the
+// message is encoded exactly once and never copied. A receiver that
+// cannot deliver the frame echoes it back verbatim as a bounce.
+func appendMsgFrame(dst []byte, src, dstNode mesh.NodeID, protoName string, payloadBytes int, codec xport.WireCodec, m interface{}) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, frameMsg)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(src)))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(dstNode)))
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(protoName)))
 	dst = append(dst, protoName...)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(payloadBytes))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(encoded)))
-	return append(dst, encoded...)
+	encAt := len(dst)
+	dst = append(dst, 0, 0, 0, 0)
+	dst, err := codec.AppendMsg(dst, m)
+	if err != nil {
+		return dst[:start], err
+	}
+	binary.LittleEndian.PutUint32(dst[encAt:], uint32(len(dst)-encAt-4))
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
+	return dst, nil
 }
 
 // parseMsgBody parses a msg/bounce frame body (kind byte included).
@@ -95,7 +104,6 @@ func parseMsgBody(body []byte) (wireMsg, error) {
 	if len(body) < 1+4+4+2 {
 		return m, fmt.Errorf("netx: short message frame (%d bytes)", len(body))
 	}
-	m.kind = body[0]
 	m.src = mesh.NodeID(int32(binary.LittleEndian.Uint32(body[1:5])))
 	m.dst = mesh.NodeID(int32(binary.LittleEndian.Uint32(body[5:9])))
 	nameLen := int(binary.LittleEndian.Uint16(body[9:11]))
@@ -115,31 +123,53 @@ func parseMsgBody(body []byte) (wireMsg, error) {
 	return m, nil
 }
 
-// readFrame reads one length-prefixed frame body from r. maxFrame guards
-// the allocation implied by the length prefix.
-func readFrame(r io.Reader, maxFrame int) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if int(n) > maxFrame {
-		return nil, fmt.Errorf("netx: frame of %d bytes exceeds limit %d", n, maxFrame)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	return body, nil
+// frameReader reads the length-prefixed frames of one connection through
+// a bufio.Reader into a single reused buffer, so a stream of frames costs
+// no allocation per frame. A frame it returns is valid only until the
+// next call: every consumer either decodes it (wire codecs copy out what
+// a message keeps, page data included) or echoes it back before reading
+// on.
+type frameReader struct {
+	r        *bufio.Reader
+	maxFrame int
+	buf      []byte
 }
 
-// readHello reads and validates the hello frame that must open every
+func newFrameReader(r io.Reader, maxFrame int) *frameReader {
+	return &frameReader{r: bufio.NewReader(r), maxFrame: maxFrame, buf: make([]byte, 4)}
+}
+
+// next reads one frame and returns it whole, length prefix included.
+// maxFrame guards the allocation implied by the length prefix.
+func (fr *frameReader) next() ([]byte, error) {
+	if _, err := io.ReadFull(fr.r, fr.buf[:4]); err != nil {
+		return nil, err
+	}
+	n := binary.LittleEndian.Uint32(fr.buf[:4])
+	if uint64(n) > uint64(fr.maxFrame) {
+		return nil, fmt.Errorf("netx: frame of %d bytes exceeds limit %d", n, fr.maxFrame)
+	}
+	size := 4 + int(n)
+	if cap(fr.buf) < size {
+		grown := make([]byte, size)
+		copy(grown, fr.buf[:4])
+		fr.buf = grown
+	}
+	frame := fr.buf[:size]
+	if _, err := io.ReadFull(fr.r, frame[4:]); err != nil {
+		return nil, err
+	}
+	return frame, nil
+}
+
+// hello reads and validates the hello frame that must open every
 // connection, returning the peer's claimed node ID.
-func readHello(r io.Reader, maxFrame int) (mesh.NodeID, error) {
-	body, err := readFrame(r, maxFrame)
+func (fr *frameReader) hello() (mesh.NodeID, error) {
+	frame, err := fr.next()
 	if err != nil {
 		return 0, fmt.Errorf("netx: reading hello: %w", err)
 	}
+	body := frame[4:]
 	if len(body) != 7 || body[0] != frameHello {
 		return 0, fmt.Errorf("netx: connection did not open with a hello frame")
 	}

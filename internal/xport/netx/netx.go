@@ -112,10 +112,11 @@ type Transport struct {
 	}
 }
 
-// outFrame is one queued outbound message: the prebuilt frame body plus
-// what a local Nack needs if the peer turns out to be unreachable.
+// outFrame is one queued outbound message: the prebuilt frame, length
+// prefix included, plus what a local Nack needs if the peer turns out to
+// be unreachable.
 type outFrame struct {
-	body  []byte
+	frame []byte
 	proto xport.ProtoID
 	dst   mesh.NodeID
 	m     interface{}
@@ -241,11 +242,12 @@ func (t *Transport) Send(src, dst mesh.NodeID, proto xport.ProtoID, payloadBytes
 	if codec == nil {
 		panic(fmt.Sprintf("netx: no wire codec registered for channel %q", proto.Name()))
 	}
-	encoded, err := codec.AppendMsg(nil, m)
+	name := proto.Name()
+	frame, err := appendMsgFrame(make([]byte, 0, frameHeadroom+len(name)+payloadBytes),
+		src, dst, name, payloadBytes, codec, m)
 	if err != nil {
-		panic(fmt.Sprintf("netx: encoding %T for channel %q: %v", m, proto.Name(), err))
+		panic(fmt.Sprintf("netx: encoding %T for channel %q: %v", m, name, err))
 	}
-	body := appendMsgBody(nil, frameMsg, src, dst, proto.Name(), payloadBytes, encoded)
 
 	t.outstanding.Add(1)
 	p.mu.Lock()
@@ -255,7 +257,7 @@ func (t *Transport) Send(src, dst mesh.NodeID, proto xport.ProtoID, payloadBytes
 		t.nackLocal(dst, proto, m)
 		return
 	}
-	p.q = append(p.q, outFrame{body: body, proto: proto, dst: dst, m: m})
+	p.q = append(p.q, outFrame{frame: frame, proto: proto, dst: dst, m: m})
 	p.cond.Signal()
 	p.mu.Unlock()
 }
@@ -276,7 +278,10 @@ func (t *Transport) nackLocal(dst mesh.NodeID, proto xport.ProtoID, m interface{
 }
 
 // writer drains one peer's queue onto its connection, dialing lazily and
-// bouncing everything queued whenever the peer proves unreachable.
+// bouncing everything queued whenever the peer proves unreachable. Each
+// dequeued batch goes out in one net.Buffers.WriteTo — a single writev
+// on a TCP connection — however many frames queued while the previous
+// batch was on the wire.
 func (t *Transport) writer(p *peerLink) {
 	defer t.wg.Done()
 	var conn net.Conn
@@ -285,68 +290,90 @@ func (t *Transport) writer(p *peerLink) {
 			conn.Close()
 		}
 	}()
-	var wbuf []byte
+	// spare is the previous batch's backing array, handed back to the
+	// queue so steady state allocates neither queue nor iovec per batch.
+	var spare []outFrame
+	var iov net.Buffers
 	for {
 		p.mu.Lock()
 		for len(p.q) == 0 && !p.closed {
 			p.cond.Wait()
 		}
-		if p.closed {
-			// Bounce whatever is still queued so no message silently
-			// vanishes at shutdown.
-			batch := p.q
-			p.q = nil
-			p.mu.Unlock()
-			t.failBatch(batch)
-			return
-		}
 		batch := p.q
-		p.q = nil
+		p.q = spare
+		closed := p.closed
 		down := time.Now().Before(p.downUntil)
 		addr := p.addr
 		p.mu.Unlock()
 
-		if down {
+		if closed {
+			// Bounce whatever is still queued so no message silently
+			// vanishes at shutdown.
 			t.failBatch(batch)
-			continue
+			return
+		}
+		// A peer is only marked down with its connection gone, so down
+		// means no connection and no dial until the cooldown ends.
+		if conn == nil && !down {
+			conn = t.dial(p, addr)
 		}
 		if conn == nil {
-			t.st.dials.Add(1)
-			c, err := t.cfg.Dial(addr)
+			t.failBatch(batch)
+		} else {
+			iov = iov[:0]
+			for _, f := range batch {
+				iov = append(iov, f.frame)
+			}
+			bufs := iov // WriteTo consumes its receiver
+			n, err := bufs.WriteTo(conn)
+			clear(iov)
+			// Exactly the frames wholly inside n reached the socket. The
+			// frame an error cut short, and every one after it, bounce:
+			// the peer's reader discards a torn frame with the connection.
+			sent, wrote := 0, n
+			for _, f := range batch {
+				if n < int64(len(f.frame)) {
+					break
+				}
+				n -= int64(len(f.frame))
+				sent++
+			}
+			t.st.framesSent.Add(uint64(sent))
+			t.st.bytesSent.Add(uint64(wrote - n))
+			t.outstanding.Add(int64(-sent))
 			if err != nil {
-				t.st.dialFailures.Add(1)
-				t.markDown(p)
-				t.failBatch(batch)
-				continue
-			}
-			hello := appendHello(nil, t.cfg.Self)
-			if _, err := c.Write(hello); err != nil {
-				c.Close()
-				t.markDown(p)
-				t.failBatch(batch)
-				continue
-			}
-			conn = c
-			// Bounces for our messages come back on the connection they
-			// went out on; a dedicated reader turns them into local Nacks.
-			// It dies with the connection.
-			t.wg.Add(1)
-			go t.readBounces(c)
-		}
-		for i, f := range batch {
-			wbuf = appendFrame(wbuf[:0], f.body)
-			if _, err := conn.Write(wbuf); err != nil {
 				conn.Close()
 				conn = nil
 				t.markDown(p)
-				t.failBatch(batch[i:])
-				break
+				t.failBatch(batch[sent:])
 			}
-			t.st.framesSent.Add(1)
-			t.st.bytesSent.Add(uint64(len(wbuf)))
-			t.outstanding.Add(-1)
 		}
+		clear(batch)
+		spare = batch[:0]
 	}
+}
+
+// dial opens the connection to p and sends the hello. On failure it marks
+// the peer down and returns nil; the caller bounces the batch.
+func (t *Transport) dial(p *peerLink, addr string) net.Conn {
+	t.st.dials.Add(1)
+	c, err := t.cfg.Dial(addr)
+	if err != nil {
+		t.st.dialFailures.Add(1)
+		t.markDown(p)
+		return nil
+	}
+	if _, err := c.Write(appendHello(nil, t.cfg.Self)); err != nil {
+		c.Close()
+		t.markDown(p)
+		return nil
+	}
+	// Bounces for our messages come back on the connection they went out
+	// on; a dedicated reader turns them into local Nacks. It dies with the
+	// connection.
+	t.wg.Add(1)
+	go t.readBounces(c)
+	return c
 }
 
 func (t *Transport) markDown(p *peerLink) {
@@ -409,17 +436,18 @@ func (t *Transport) ServeConn(c net.Conn) {
 	t.inbound.Store(c, struct{}{})
 	defer t.inbound.Delete(c)
 
-	if _, err := readHello(c, t.cfg.MaxFrame); err != nil {
+	fr := newFrameReader(c, t.cfg.MaxFrame)
+	if _, err := fr.hello(); err != nil {
 		return
 	}
-	var bounceBuf []byte
 	for {
-		body, err := readFrame(c, t.cfg.MaxFrame)
+		frame, err := fr.next()
 		if err != nil {
 			return // EOF or broken conn: peer's problem to retry
 		}
 		t.st.framesRecv.Add(1)
-		t.st.bytesRecv.Add(uint64(4 + len(body)))
+		t.st.bytesRecv.Add(uint64(len(frame)))
+		body := frame[4:]
 		if len(body) == 0 {
 			continue
 		}
@@ -435,10 +463,8 @@ func (t *Transport) ServeConn(c net.Conn) {
 				// transport raises the standard Nack. TCP is full duplex;
 				// this reader goroutine is the connection's only writer.
 				t.st.bouncesSent.Add(1)
-				wm.kind = frameBounce
 				body[0] = frameBounce
-				bounceBuf = appendFrame(bounceBuf[:0], body)
-				if _, err := c.Write(bounceBuf); err != nil {
+				if _, err := c.Write(frame); err != nil {
 					return
 				}
 			}
@@ -459,7 +485,8 @@ func (t *Transport) ServeConn(c net.Conn) {
 
 // deliver decodes an inbound message and hands it to the registered
 // handler via the exec. Returns false when this process cannot accept it
-// (wrong destination, no handler, no codec) — the caller bounces.
+// (wrong destination, no handler, no codec) — the caller bounces. The
+// message is decoded here, before the frame's buffer is read over.
 func (t *Transport) deliver(wm wireMsg) bool {
 	if wm.dst != t.cfg.Self {
 		return false
@@ -492,11 +519,13 @@ func (t *Transport) deliver(wm wireMsg) bool {
 // sent. It exits when the connection dies.
 func (t *Transport) readBounces(c net.Conn) {
 	defer t.wg.Done()
+	fr := newFrameReader(c, t.cfg.MaxFrame)
 	for {
-		body, err := readFrame(c, t.cfg.MaxFrame)
+		frame, err := fr.next()
 		if err != nil {
 			return
 		}
+		body := frame[4:]
 		if len(body) == 0 || body[0] != frameBounce {
 			continue
 		}

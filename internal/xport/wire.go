@@ -26,7 +26,9 @@ type WireCodec interface {
 	// DecodeMsg parses one encoded message, returning the exact Go form
 	// the protocol's registered Handler expects (pointer kinds stay
 	// pointers, value kinds stay values). It must return an error — never
-	// panic — on corrupt input, and must reject trailing bytes.
+	// panic — on corrupt input, and must reject trailing bytes. b is only
+	// valid for the call (a socket reader reads the next frame over it),
+	// so the message must copy out whatever it keeps.
 	DecodeMsg(b []byte) (interface{}, error)
 }
 
